@@ -476,6 +476,29 @@ void ConditionalNetwork::classify_batch_into(
     const std::vector<Tensor>& inputs,
     std::vector<ClassificationResult>& results, BatchWorkspace& ws,
     ThreadPool* pool) const {
+  run_batch(inputs, results, ws, pool, nullptr);
+}
+
+StageRecording ConditionalNetwork::record_stages(
+    const std::vector<Tensor>& inputs) const {
+  StageRecording rec;
+  rec.count = inputs.size();
+  rec.classes = num_classes_;
+  rec.probs.resize(stages_.size() * inputs.size() * num_classes_);
+  std::vector<ClassificationResult> results;
+  BatchWorkspace ws;
+  run_batch(inputs, results, ws, nullptr, &rec);
+  rec.final_label.reserve(results.size());
+  for (const ClassificationResult& r : results) {
+    rec.final_label.push_back(r.label);
+  }
+  return rec;
+}
+
+void ConditionalNetwork::run_batch(const std::vector<Tensor>& inputs,
+                                   std::vector<ClassificationResult>& results,
+                                   BatchWorkspace& ws, ThreadPool* pool,
+                                   StageRecording* record) const {
   for (const Tensor& t : inputs) {
     if (t.shape() != input_shape_) {
       throw std::invalid_argument("classify_batch_into: input shape " +
@@ -538,33 +561,41 @@ void ConditionalNetwork::classify_batch_into(
                                                   seg_pool);
       }
 
-      const ActivationModule gate(
-          stages_[s].delta_override.value_or(activation_.delta()),
-          activation_.policy());
-      // Per-row decisions in original order; exited rows scatter results to
-      // their original batch index, survivors compact downward in place
-      // (dst <= src, so row-by-row copies never overlap a pending row).
-      std::size_t kept = 0;
-      for (std::size_t r = 0; r < live; ++r) {
-        const float* row = probs + r * num_classes_;
-        const ActivationDecision decision = gate.evaluate(row, num_classes_);
-        if (decision.terminate) {
-          ClassificationResult& res = results[ws.active_[r]];
-          res.label = decision.label;
-          res.exit_stage = s;
-          res.confidence = decision.confidence;
-          res.ops = exit_ops(s);
-          store_probabilities(res.probabilities, row);
-        } else {
-          if (kept != r) {
-            std::memcpy(cur + kept * feat_floats, cur + r * feat_floats,
-                        feat_floats * sizeof(float));
-            ws.active_[kept] = ws.active_[r];
+      if (record != nullptr) {
+        // Exits disabled: every row of the tile survives, in input order.
+        std::memcpy(
+            record->probs.data() + (s * record->count + t0) * num_classes_,
+            probs, live * num_classes_ * sizeof(float));
+      } else {
+        const ActivationModule gate(
+            stages_[s].delta_override.value_or(activation_.delta()),
+            activation_.policy());
+        // Per-row decisions in original order; exited rows scatter results
+        // to their original batch index, survivors compact downward in
+        // place (dst <= src, so row-by-row copies never overlap a pending
+        // row).
+        std::size_t kept = 0;
+        for (std::size_t r = 0; r < live; ++r) {
+          const float* row = probs + r * num_classes_;
+          const ActivationDecision decision = gate.evaluate(row, num_classes_);
+          if (decision.terminate) {
+            ClassificationResult& res = results[ws.active_[r]];
+            res.label = decision.label;
+            res.exit_stage = s;
+            res.confidence = decision.confidence;
+            res.ops = exit_ops(s);
+            store_probabilities(res.probabilities, row);
+          } else {
+            if (kept != r) {
+              std::memcpy(cur + kept * feat_floats, cur + r * feat_floats,
+                          feat_floats * sizeof(float));
+              ws.active_[kept] = ws.active_[r];
+            }
+            ++kept;
           }
-          ++kept;
         }
+        live = kept;
       }
-      live = kept;
       if (profiling) {
         OpCount gate_ops = stages_[s].classifier.forward_ops();
         gate_ops += activation_.decision_ops(num_classes_);

@@ -40,6 +40,23 @@ struct ClassificationResult {
   Tensor probabilities;  ///< class distribution of the deciding stage
 };
 
+/// Every stage's class probabilities over a set of inputs, recorded by one
+/// full-depth pass (ConditionalNetwork::record_stages). No stage's
+/// probabilities depend on δ, so replaying the activation module over these
+/// rows reproduces classify()'s decision for any per-stage thresholds.
+struct StageRecording {
+  std::size_t count = 0;    ///< inputs recorded
+  std::size_t classes = 0;  ///< probabilities per row
+  /// Stage-major rows: stage s, input i starts at (s * count + i) * classes.
+  std::vector<float> probs;
+  /// Label the final FC stage gives input i.
+  std::vector<std::size_t> final_label;
+
+  [[nodiscard]] const float* row(std::size_t stage, std::size_t input) const {
+    return probs.data() + (stage * count + input) * classes;
+  }
+};
+
 class ConditionalNetwork;
 
 /// Pre-planned arena for ConditionalNetwork::classify_batch_into. One walk
@@ -220,6 +237,13 @@ class ConditionalNetwork {
                            BatchWorkspace& ws,
                            ThreadPool* pool = nullptr) const;
 
+  /// classify_batch_into's stage loop with early exits disabled: every input
+  /// runs every stage and the final FC segment, and each stage's probability
+  /// row is copied out — bit-identical to the row classify() gates on at
+  /// that stage, whatever δ. δ selection records once and replays the gate.
+  [[nodiscard]] StageRecording record_stages(
+      const std::vector<Tensor>& inputs) const;
+
   /// Features the stage's linear classifier sees for `input` (prefix forward).
   [[nodiscard]] Tensor stage_features(const Tensor& input, std::size_t stage) const;
 
@@ -276,6 +300,13 @@ class ConditionalNetwork {
   /// Copies a deciding stage's probability row into `dst`, reusing its
   /// allocation when the shape is already right (warm steady state).
   void store_probabilities(Tensor& dst, const float* row) const;
+  /// The stage-major batch executor behind classify_batch_into and
+  /// record_stages. With `record` set no row exits early: each stage's
+  /// probability block is copied into `record->probs` instead of gated.
+  void run_batch(const std::vector<Tensor>& inputs,
+                 std::vector<ClassificationResult>& results,
+                 BatchWorkspace& ws, ThreadPool* pool,
+                 StageRecording* record) const;
   [[nodiscard]] OpCount segment_ops(std::size_t from_layer,
                                     std::size_t to_layer) const;
   /// Rebuilds the cached per-stage/final op tables (classify() consults them

@@ -4,6 +4,12 @@
 // between accuracy and efficiency" (Section V-E). select_delta automates
 // that: it sweeps candidate thresholds on a held-out validation set and
 // returns the most accurate one, breaking ties toward fewer operations.
+//
+// Each call runs the cascade once: ConditionalNetwork::record_stages keeps
+// every stage's probability rows for the validation set (no stage's output
+// depends on δ), and every candidate replays the activation module over
+// them. Scores and picks are bit-identical to classify()ing the whole set at
+// each candidate.
 #pragma once
 
 #include <span>

@@ -125,14 +125,6 @@ void pool_image_s32(const std::int32_t* in, std::size_t channel_stride,
   }
 }
 
-/// Scalar requantization of one activation value: round-to-nearest-even,
-/// clamped to the u8 range. Mirrors quantize_activations_u8 exactly.
-std::uint8_t requant_u8(float v, float inv_scale) {
-  const float q = std::nearbyintf(v * inv_scale);
-  return static_cast<std::uint8_t>(
-      std::clamp(q, 0.0F, static_cast<float>(kActQuantLevels)));
-}
-
 /// Dequantize one pooled image (fmaf per element, per-channel slope and
 /// bias) and apply `act`. Known activations take the fused nn/act_kernels
 /// plane route instead (vectorized, lanes bit-identical to this rule); this
@@ -426,8 +418,8 @@ void QuantizedSegment::run_conv_triple(const Step& step,
   // exact integers — identical for any image grouping — and the float tail
   // applies one fixed rounding per element (known activations inline the
   // classes' own expressions; the batched requantize's vector lane matches
-  // requant_u8 byte for byte), so results are bit-identical for any
-  // (batch, tile, thread, tier) split.
+  // quantize_activations_u8's scalar rule byte for byte), so results are
+  // bit-identical for any (batch, tile, thread, tier) split.
   const std::size_t pb_img = qgemm_packed_b_bytes(k, pixels);
   const std::size_t raw_img = step.out_c * pixels;
   const std::size_t panels_img = ceil_div(pixels, kQgemmNr);

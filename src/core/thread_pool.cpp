@@ -26,6 +26,10 @@ ThreadPool::ThreadPool(std::size_t threads) {
   for (std::size_t w = 0; w < size_; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
   }
+  // Return only once every worker is through its start-up (naming its trace
+  // buffer allocates), so none of it lands in a caller's later work.
+  std::unique_lock<std::mutex> lock(mutex_);
+  done_cv_.wait(lock, [this] { return started_ == size_; });
 }
 
 ThreadPool::~ThreadPool() {
@@ -89,6 +93,10 @@ void ThreadPool::worker_loop(std::size_t worker) {
   obs::Tracer::instance().set_thread_name("cdl-worker-" +
                                           std::to_string(worker));
 #endif
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (++started_ == size_) done_cv_.notify_all();
+  }
   std::uint64_t seen = 0;
   for (;;) {
     const ChunkFn* job = nullptr;

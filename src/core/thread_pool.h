@@ -29,7 +29,8 @@ class ThreadPool {
   /// (at least 1). Requests above the hardware thread count are clamped to
   /// it (oversubscribing a fork/join pool only adds contention); size()
   /// reports the effective count. A pool of size 1 spawns no OS threads at
-  /// all: every parallel_for runs inline on the caller.
+  /// all: every parallel_for runs inline on the caller. Returns once every
+  /// worker has finished starting up.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -69,6 +70,7 @@ class ThreadPool {
   std::size_t job_end_ = 0;
   std::uint64_t generation_ = 0;
   std::size_t pending_ = 0;
+  std::size_t started_ = 0;  ///< workers through start-up (constructor waits)
   std::exception_ptr first_error_;
   bool stop_ = false;
 };

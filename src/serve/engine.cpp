@@ -59,6 +59,8 @@ const char* to_string(SubmitStatus s) {
       return "unknown_model";
     case SubmitStatus::kShutdown:
       return "shutdown";
+    case SubmitStatus::kBadShape:
+      return "bad_shape";
   }
   return "unknown";
 }
@@ -168,6 +170,12 @@ Submitted ServingEngine::submit(std::size_t model, Tensor input,
   if (!accepting_.load(std::memory_order_acquire)) {
     return rejected_receipt(SubmitStatus::kShutdown, id, model);
   }
+  if (input.shape() != models_.net(model).input_shape()) {
+    // Rejected here: a wrong-shape tensor would throw inside a batch and
+    // take its other requests down with it.
+    slo_.record_rejected(model);
+    return rejected_receipt(SubmitStatus::kBadShape, id, model);
+  }
   Request request;
   request.id = id;
   request.model = model;
@@ -188,15 +196,17 @@ Submitted ServingEngine::submit(std::size_t model, Tensor input,
 
   Submitted out;
   out.response = request.promise.get_future();
+  // Counted before a worker can see the request, so no snapshot reads more
+  // requests finished than accepted; a failed push withdraws the count.
+  slo_.record_accepted(model);
   switch (queue_.try_push(std::move(request))) {
     case PushResult::kOk:
       out.status = SubmitStatus::kAccepted;
-      slo_.record_accepted(model);
       slo_.set_queue_depth(queue_.size());
       return out;
     case PushResult::kFull: {
       out.status = SubmitStatus::kQueueFull;
-      slo_.record_rejected(model);
+      slo_.withdraw_accepted(model, /*rejected=*/true);
       drift_[model]->record_missing(request.seq);
       publish_drift(model);
       Response resp;
@@ -208,6 +218,7 @@ Submitted ServingEngine::submit(std::size_t model, Tensor input,
     }
     case PushResult::kClosed: {
       out.status = SubmitStatus::kShutdown;
+      slo_.withdraw_accepted(model, /*rejected=*/false);
       drift_[model]->record_missing(request.seq);
       publish_drift(model);
       Response resp;

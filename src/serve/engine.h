@@ -86,6 +86,7 @@ enum class SubmitStatus : std::uint8_t {
   kQueueFull = 1,     ///< backpressure: bounded queue rejected the request
   kUnknownModel = 2,
   kShutdown = 3,      ///< engine no longer accepting
+  kBadShape = 4,      ///< input shape is not the model's input_shape()
 };
 
 [[nodiscard]] const char* to_string(SubmitStatus s);
@@ -110,7 +111,8 @@ class ServingEngine {
 
   /// Enqueues one image for `model`. `deadline_ns` is relative to the
   /// submission time (0 = EngineConfig::default_deadline_ns; that being 0
-  /// too = no deadline). Never blocks.
+  /// too = no deadline). Never blocks. An input whose shape differs from the
+  /// model's input_shape() is rejected (kBadShape, counted as rejected).
   [[nodiscard]] Submitted submit(std::size_t model, Tensor input,
                                  std::uint64_t deadline_ns = 0);
   [[nodiscard]] Submitted submit(const std::string& model, Tensor input,

@@ -51,6 +51,16 @@ void SloTracker::record_accepted(std::size_t model) {
   (void)model_slot(model).accepted++;
 }
 
+void SloTracker::withdraw_accepted(std::size_t model, bool rejected) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  PerModel& m = model_slot(model);
+  --m.accepted;
+  if (rejected) {
+    ++m.rejected;
+    bump(m, "rejected");
+  }
+}
+
 void SloTracker::record_expired(std::size_t model, std::uint64_t queue_ns) {
   std::lock_guard<std::mutex> lock(mutex_);
   PerModel& m = model_slot(model);
@@ -243,10 +253,15 @@ void SloTracker::set_queue_depth(std::size_t depth) {
 }
 
 SloSummary SloTracker::summary(std::size_t model) const {
-  std::lock_guard<std::mutex> lock(mutex_);
   SloSummary s;
-  if (model >= models_.size()) return s;
-  const PerModel& m = models_[model];
+  PerModel m;
+  {
+    // Copy under the lock, sort outside it: the percentiles below sort every
+    // sample, and each worker's record_* waits on this mutex meanwhile.
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (model >= models_.size()) return s;
+    m = models_[model];
+  }
   s.model = m.name;
   s.accepted = m.accepted;
   s.completed = m.completed;

@@ -51,7 +51,7 @@ struct SloSummary {
   std::uint64_t submitted = 0;  ///< accepted + rejected
   std::uint64_t accepted = 0;   ///< entered the queue
   std::uint64_t completed = 0;  ///< served with inference (status kOk)
-  std::uint64_t rejected = 0;   ///< backpressure (queue full)
+  std::uint64_t rejected = 0;   ///< refused at submit (queue full, bad shape)
   std::uint64_t expired = 0;    ///< deadline passed before dispatch
   std::uint64_t shutdown = 0;   ///< aborted before service
   std::uint64_t slo_miss = 0;   ///< expired + completed past their deadline
@@ -105,6 +105,9 @@ class SloTracker {
 
   void record_rejected(std::size_t model);
   void record_accepted(std::size_t model);
+  /// Takes back a record_accepted whose queue push then failed, counting the
+  /// request as rejected (queue full) in the same step when `rejected`.
+  void withdraw_accepted(std::size_t model, bool rejected);
   void record_expired(std::size_t model, std::uint64_t queue_ns);
   void record_shutdown(std::size_t model);
   /// `queue_ns + batch_wait_ns + compute_ns == latency_ns` — the engine

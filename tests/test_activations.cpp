@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/rng.h"
 #include "nn/activations.h"
@@ -69,6 +70,10 @@ struct ActCase {
   float lo;
   float hi;
 };
+
+// Names each case after its activation. Without it gtest prints the struct's
+// raw bytes, a pointer among them, and the ctest names change every build.
+void PrintTo(const ActCase& c, std::ostream* os) { *os << c.name; }
 
 class ActivationRangeSweep : public ::testing::TestWithParam<ActCase> {};
 

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
+#include "cdl/architectures.h"
+#include "cdl/cdl_trainer.h"
 #include "cdl/delta_selection.h"
 #include "core/rng.h"
+#include "data/synthetic_mnist.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
+#include "obs/layer_profile.h"
+#include "test_util.h"
 
 namespace cdl {
 namespace {
@@ -134,6 +142,225 @@ TEST(DeltaSelection, DefaultGridIsSortedAndInRange) {
   }
   EXPECT_GT(grid.front(), 0.0F);
   EXPECT_LT(grid.back(), 1.0F);
+}
+
+// --- Replay against the per-candidate sweep ---------------------------------
+// select_delta and select_stage_deltas record the validation set's stage
+// probabilities once and replay the gate for each candidate. The oracle is
+// the sweep they replace: classify() every image at every candidate. The two
+// must agree to the last bit.
+
+struct OracleScore {
+  double accuracy = 0.0;
+  double avg_ops = 0.0;
+};
+
+OracleScore oracle_score(const ConditionalNetwork& net, const Dataset& val) {
+  std::size_t correct = 0;
+  double ops = 0.0;
+  for (std::size_t i = 0; i < val.size(); ++i) {
+    const ClassificationResult r = net.classify(val.image(i));
+    if (r.label == val.label(i)) ++correct;
+    ops += static_cast<double>(r.ops.total_compute());
+  }
+  return {static_cast<double>(correct) / static_cast<double>(val.size()),
+          ops / static_cast<double>(val.size())};
+}
+
+bool oracle_better(const OracleScore& a, const OracleScore& b) {
+  return a.accuracy > b.accuracy ||
+         (a.accuracy == b.accuracy && a.avg_ops < b.avg_ops);
+}
+
+DeltaSelection oracle_select_delta(ConditionalNetwork& net, const Dataset& val,
+                                   const std::vector<float>& grid) {
+  DeltaSelection sel;
+  for (float delta : grid) {
+    net.set_delta(delta);
+    const OracleScore s = oracle_score(net, val);
+    const DeltaCandidate c{delta, s.accuracy, s.avg_ops};
+    sel.sweep.push_back(c);
+    if (sel.sweep.size() == 1 ||
+        oracle_better(s, {sel.best.accuracy, sel.best.avg_ops})) {
+      sel.best = c;
+    }
+  }
+  net.set_delta(sel.best.delta);
+  return sel;
+}
+
+StageDeltaSelection oracle_select_stage_deltas(ConditionalNetwork& net,
+                                               const Dataset& val,
+                                               const std::vector<float>& grid) {
+  const DeltaSelection global = oracle_select_delta(net, val, grid);
+  StageDeltaSelection sel;
+  sel.stage_deltas.assign(net.num_stages(), global.best.delta);
+  OracleScore best{global.best.accuracy, global.best.avg_ops};
+  for (std::size_t s = 0; s < net.num_stages(); ++s) {
+    for (float delta : grid) {
+      if (delta == sel.stage_deltas[s]) continue;
+      net.set_stage_delta(s, delta);
+      const OracleScore c = oracle_score(net, val);
+      if (oracle_better(c, best)) {
+        best = c;
+        sel.stage_deltas[s] = delta;
+      }
+    }
+    net.set_stage_delta(s, sel.stage_deltas[s]);
+  }
+  sel.accuracy = best.accuracy;
+  sel.avg_ops = best.avg_ops;
+  return sel;
+}
+
+/// A paper-shaped cascade after five baseline epochs and four
+/// stage-classifier epochs on 600 images: enough for δ to move exits and
+/// accuracy, and for the 3C greedy search to move a stage off the global δ.
+ConditionalNetwork briefly_trained(const CdlArchitecture& arch,
+                                   const Dataset& train) {
+  Rng rng(21);
+  Network base = arch.make_baseline();
+  base.init(rng);
+  BaselineTrainConfig bcfg;
+  bcfg.epochs = 5;
+  (void)train_baseline(base, train, bcfg, rng);
+  ConditionalNetwork net(std::move(base), arch.input_shape);
+  for (const std::size_t prefix : arch.default_stages) {
+    net.attach_classifier(prefix, LcTrainingRule::kLms, rng);
+  }
+  CdlTrainConfig cfg;
+  cfg.lc_epochs = 4;
+  cfg.prune_by_gain = false;
+  (void)train_cdl(net, train, cfg, rng);
+  return net;
+}
+
+/// (architecture index, int8)
+class DeltaReplay
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+
+TEST_P(DeltaReplay, MatchesPerCandidateClassifyBitForBit) {
+  const auto [arch_index, int8] = GetParam();
+  const CdlArchitecture arch = paper_architectures()[arch_index];
+  const SyntheticMnist gen(SyntheticMnistConfig{.seed = 5});
+  const Dataset train = gen.generate(600);
+  const Dataset val = gen.generate(120, 1ULL << 33);
+  ConditionalNetwork net = briefly_trained(arch, train);
+  if (int8) {
+    net.set_quantization(collect_quant_calibration(
+        net.baseline(), net.input_shape(), train.images(), 64));
+    net.set_cascade_precision(StagePrecision::kInt8);
+  }
+  const std::vector<float> grid = default_delta_grid();
+  // Per-stage overrides in place before each call; both sides replace them.
+  const auto preset = [&net] {
+    net.set_delta(0.45F);
+    for (std::size_t s = 0; s < net.num_stages(); ++s) {
+      net.set_stage_delta(s, 0.95F - 0.1F * static_cast<float>(s));
+    }
+  };
+
+  std::size_t greedy_moves = 0;
+  for (const ConfidencePolicy policy :
+       {ConfidencePolicy::kMaxProbability, ConfidencePolicy::kMargin,
+        ConfidencePolicy::kEntropy}) {
+    SCOPED_TRACE(to_string(policy));
+    net.set_policy(policy);
+
+    preset();
+    const DeltaSelection want = oracle_select_delta(net, val, grid);
+    preset();
+    const DeltaSelection got = select_delta(net, val, grid);
+    EXPECT_EQ(got.best.delta, want.best.delta);
+    EXPECT_EQ(got.best.accuracy, want.best.accuracy);
+    EXPECT_EQ(got.best.avg_ops, want.best.avg_ops);
+    ASSERT_EQ(got.sweep.size(), want.sweep.size());
+    std::set<double> distinct_ops;
+    for (std::size_t i = 0; i < want.sweep.size(); ++i) {
+      EXPECT_EQ(got.sweep[i].delta, want.sweep[i].delta);
+      EXPECT_EQ(got.sweep[i].accuracy, want.sweep[i].accuracy) << "row " << i;
+      EXPECT_EQ(got.sweep[i].avg_ops, want.sweep[i].avg_ops) << "row " << i;
+      distinct_ops.insert(want.sweep[i].avg_ops);
+    }
+    EXPECT_GT(distinct_ops.size(), 1U) << "δ never moved an exit";
+    for (std::size_t s = 0; s < net.num_stages(); ++s) {
+      EXPECT_EQ(net.stage_delta(s), want.best.delta);
+    }
+
+    preset();
+    const StageDeltaSelection want_s = oracle_select_stage_deltas(net, val, grid);
+    std::vector<float> want_final;
+    for (std::size_t s = 0; s < net.num_stages(); ++s) {
+      want_final.push_back(net.stage_delta(s));
+    }
+    preset();
+    const StageDeltaSelection got_s = select_stage_deltas(net, val, grid);
+    EXPECT_EQ(got_s.stage_deltas, want_s.stage_deltas);
+    EXPECT_EQ(got_s.accuracy, want_s.accuracy);
+    EXPECT_EQ(got_s.avg_ops, want_s.avg_ops);
+    for (std::size_t s = 0; s < net.num_stages(); ++s) {
+      EXPECT_EQ(net.stage_delta(s), want_final[s]) << "stage " << s;
+      if (want_s.stage_deltas[s] != want.best.delta) ++greedy_moves;
+    }
+  }
+  if (net.num_stages() > 1) {
+    EXPECT_GT(greedy_moves, 0U)
+        << "the greedy search never left the global δ, so per-stage "
+           "thresholds went unchecked";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperShapes, DeltaReplay,
+    ::testing::Combine(::testing::Values(std::size_t{0}, std::size_t{1}),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return paper_architectures()[std::get<0>(info.param)].name +
+             (std::get<1>(info.param) ? "_int8" : "_fp32");
+    });
+
+/// Profiler on for one scope, cleared on both ends.
+struct ProfilerScope {
+  ProfilerScope() {
+    obs::LayerProfiler::instance().clear();
+    obs::LayerProfiler::instance().set_enabled(true);
+  }
+  ~ProfilerScope() {
+    obs::LayerProfiler::instance().set_enabled(false);
+    obs::LayerProfiler::instance().clear();
+  }
+};
+
+std::uint64_t stage0_gate_samples() {
+  for (const obs::LayerProfileRow& row :
+       obs::LayerProfiler::instance().snapshot()) {
+    if (row.stage == 0 && row.layer == obs::kStageLevel &&
+        row.name == "classifier+gate") {
+      return row.samples;
+    }
+  }
+  return 0;
+}
+
+TEST(DeltaSelection, RunsTheCascadeOncePerSelection) {
+  Rng rng(9);
+  ConditionalNetwork net = test::conv_cdln(ConvAlgo::kIm2col, rng);
+  constexpr std::size_t kImages = 40;
+  Dataset val;
+  for (std::size_t i = 0; i < kImages; ++i) {
+    val.add(test::random_image(net.input_shape(), 900 + i), i % 5);
+  }
+  const std::vector<float> grid{0.3F, 0.5F, 0.7F, 0.9F};
+  {
+    const ProfilerScope scope;
+    (void)select_delta(net, val, grid);
+    EXPECT_EQ(stage0_gate_samples(), kImages);
+  }
+  {
+    const ProfilerScope scope;
+    (void)select_stage_deltas(net, val, grid);
+    EXPECT_EQ(stage0_gate_samples(), kImages);
+  }
 }
 
 }  // namespace

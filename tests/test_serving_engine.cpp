@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cdl/conditional_network.h"
@@ -366,6 +368,94 @@ TEST(ServingEngine, ThreadedWorkersServeOnManualClock) {
   expect_identical(resp.result, engine.models().net(0).classify(image),
                    "threaded manual clock");
   engine.shutdown();
+}
+
+/// A wrong-shape tensor is refused at submit, so it never reaches a batch:
+/// the requests around it are served as if it had not been sent.
+TEST(ServingEngine, WrongShapeIsRejectedAndItsBatchStillServes) {
+  ManualClock clock(0);
+  EngineConfig config;
+  config.workers = 0;
+  config.clock = &clock;
+  config.batcher.max_batch = 4;
+  config.batcher.max_delay_ns = 1'000'000;
+  ServingEngine engine(one_model(), config);
+
+  const std::vector<Tensor> inputs = make_inputs(4, 300);
+  std::vector<Submitted> receipts;
+  receipts.push_back(engine.submit(0, Tensor(inputs[0])));
+  receipts.push_back(engine.submit(0, Tensor(inputs[1])));
+  // Same element count as a real image, wrong shape.
+  Submitted bad = engine.submit(0, random_image(Shape{12, 12}, 9));
+  receipts.push_back(engine.submit(0, Tensor(inputs[2])));
+  receipts.push_back(engine.submit(0, Tensor(inputs[3])));
+  EXPECT_EQ(bad.status, SubmitStatus::kBadShape);
+  EXPECT_EQ(bad.response.get().status, RequestStatus::kRejected);
+
+  EXPECT_EQ(engine.run_once(), 4U) << "the four good requests fill the batch";
+  for (std::size_t i = 0; i < receipts.size(); ++i) {
+    ASSERT_EQ(receipts[i].status, SubmitStatus::kAccepted);
+    Response resp = receipts[i].response.get();
+    EXPECT_EQ(resp.status, RequestStatus::kOk);
+    EXPECT_EQ(resp.batch_size, 4U);
+    expect_identical(resp.result, engine.models().net(0).classify(inputs[i]),
+                     "request " + std::to_string(i));
+  }
+  const SloSummary slo = engine.slo().summary(0);
+  EXPECT_EQ(slo.submitted, 5U);
+  EXPECT_EQ(slo.accepted, 4U);
+  EXPECT_EQ(slo.rejected, 1U);
+  EXPECT_EQ(slo.completed, 4U);
+}
+
+/// Acceptance is counted before a worker can see the request (and withdrawn
+/// when the queue refuses it), so a concurrent snapshot never reads more
+/// requests finished than accepted.
+TEST(ServingEngine, SnapshotsNeverSeeMoreFinishedThanAccepted) {
+  EngineConfig config;
+  config.workers = 2;
+  config.queue_capacity = 8;  // small: part of the load takes the kFull path
+  config.batcher.max_batch = 1;  // finish each request as soon as it is seen
+  ServingEngine engine(one_model(), config);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> samples{0};
+  std::atomic<std::uint64_t> violations{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      const SloSummary s = engine.slo().summary(0);
+      if (s.completed + s.expired > s.accepted) violations.fetch_add(1);
+      samples.fetch_add(1);
+    }
+  });
+
+  constexpr std::size_t kAccepted = 1000;
+  const std::vector<Tensor> inputs = make_inputs(8, 500);
+  std::vector<std::future<Response>> responses;
+  std::uint64_t submitted = 0;
+  while (responses.size() < kAccepted) {
+    Submitted r = engine.submit(0, Tensor(inputs[submitted++ % 8]));
+    if (r.status == SubmitStatus::kAccepted) {
+      responses.push_back(std::move(r.response));
+    } else {
+      // Queue full: the receipt is already resolved, so it is not kept (a
+      // loaded host refuses many submits). Let the workers drain the queue.
+      EXPECT_EQ(r.status, SubmitStatus::kQueueFull);
+      std::this_thread::yield();
+    }
+  }
+  for (std::future<Response>& r : responses) (void)r.get();
+  engine.shutdown();
+  done.store(true);
+  reader.join();
+
+  EXPECT_EQ(violations.load(), 0U)
+      << "of " << samples.load() << " snapshots";
+  const SloSummary final_slo = engine.slo().summary(0);
+  EXPECT_EQ(final_slo.submitted, submitted);
+  EXPECT_EQ(final_slo.accepted, kAccepted);
+  EXPECT_EQ(final_slo.completed + final_slo.expired + final_slo.shutdown,
+            final_slo.accepted);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -21,12 +22,14 @@
 
 namespace cdl::test {
 
-/// Creates <system tmp>/<name> and removes it (recursively) on destruction.
-/// Use a per-binary unique name: ctest runs test binaries in parallel.
+/// Creates <system tmp>/<name>_<pid> and removes it (recursively) on
+/// destruction. ctest runs every TEST as its own process, in parallel, so
+/// the pid keeps tests of one fixture from deleting each other's files.
 class TempDir {
  public:
   explicit TempDir(const std::string& name)
-      : dir_(std::filesystem::temp_directory_path() / name) {
+      : dir_(std::filesystem::temp_directory_path() /
+             (name + "_" + std::to_string(::getpid()))) {
     std::filesystem::create_directories(dir_);
   }
   ~TempDir() {
